@@ -14,13 +14,13 @@ import (
 // and truncating the committed-op log (and the durable WAL) to the tail
 // the checkpoint does not cover.
 //
-// Consistency comes for free from the commit protocol: the committed view
-// only ever changes inside the global STOP/START barrier, so any committed
-// version is superstep-consistent — no query ever observed a state between
-// two versions. And because delta.View is immutable (every commit builds a
-// new view), pinning a version is one pointer copy: the commit barrier's
-// only checkpoint work. The O(V+E) materialization and the durable write
-// run on a background cutter goroutine, off the barrier, and the result
+// Consistency comes for free from the commit protocol: every committed
+// version is one immutable delta.View applied whole on the event loop, and
+// queries read the version they pinned, so no query ever observed a state
+// between two versions. Because every commit builds a new view, pinning a
+// version is one pointer copy: the commit path's only checkpoint work. The
+// O(V+E) materialization and the durable write run on a background cutter
+// goroutine, off the event loop, and the result
 // flows back through cutCh so truncation still happens on the event loop
 // where the logs live.
 //
@@ -80,7 +80,7 @@ func (c *Controller) requestCheckpoint(ch chan snapshot.Result) {
 }
 
 // startCut pins the immutable committed view — the only checkpoint work
-// the event loop (and thus the commit barrier) ever pays — and folds it
+// the event loop (and thus the commit path) ever pays — and folds it
 // on a background goroutine. The policy accounting resets at the pin;
 // onCutDone restores it if the cut aborts.
 func (c *Controller) startCut(now time.Time) {

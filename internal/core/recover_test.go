@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -136,23 +137,40 @@ func distanceNeutralOps() []delta.Op {
 	}
 }
 
+// runRepartitionWorkload runs the hotspot specs with Q-cut on and asserts
+// every result matches its Dijkstra reference despite the fault.
+func runRepartitionWorkload(t *testing.T, eng *Engine, specs []query.Spec, want []float64) {
+	t.Helper()
+	results, err := eng.RunBatch(specs, 16)
+	if err != nil {
+		t.Fatalf("RunBatch: %v", err)
+	}
+	for _, r := range results {
+		if r.Reason != protocol.FinishConverged && r.Reason != protocol.FinishEarly {
+			t.Fatalf("query %d finished %v — recovery must hide worker death", r.Q, r.Reason)
+		}
+	}
+	checkResults(t, results, specs, want)
+}
+
 // TestRecoveryFaultMatrix kills worker 1 at each named fault point and
 // asserts the full acceptance property: all queries complete correctly,
-// the commit (when one is in flight) resolves deterministically, and the
-// engine returns to healthy with the partition handed to survivors.
+// the commit (when one is in flight) resolves deterministically, every
+// live worker catches up to the committed version, and the engine returns
+// to healthy with the partition handed to survivors.
 func TestRecoveryFaultMatrix(t *testing.T) {
 	cases := []struct {
 		name  string
 		point string
-		// mutate stages a commit so the delta-commit points fire; the
-		// pipelined path exercises them off-barrier.
+		// mutate stages a commit so the delta-commit points fire.
 		mutate bool
-		// barrier forces the pre-MVCC barrier-commit baseline, whose
-		// commit walks the worker into the GlobalStop point.
-		barrier bool
+		// repartition swaps the path workload for the road hotspot workload
+		// with Q-cut on: Q-cut finds no moves on the path, and only its
+		// repartition barrier walks worker 1 into the GlobalStop point.
+		repartition bool
 	}{
 		{name: "mid-superstep", point: faultpoint.WorkerSuperstep},
-		{name: "mid-barrier", point: faultpoint.WorkerBarrierStop, mutate: true, barrier: true},
+		{name: "mid-barrier", point: faultpoint.WorkerBarrierStop, mutate: true, repartition: true},
 		{name: "mid-delta-commit-before-apply", point: faultpoint.WorkerDeltaApply, mutate: true},
 		{name: "mid-delta-commit-after-apply", point: faultpoint.WorkerDeltaAck, mutate: true},
 	}
@@ -160,8 +178,27 @@ func TestRecoveryFaultMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			defer faultpoint.Reset()
 			g := recoverGraph(48)
-			cfg := Config{Workers: 3, Graph: g, Partitioner: partition.Hash{}, BarrierCommit: tc.barrier}
+			run := func(eng *Engine) { runRecoveryWorkload(t, eng, g, 1) }
+			probe := [2]graph.VertexID{0, 47}
+			cfg := Config{Workers: 3, Partitioner: partition.Hash{}}
 			fastRecovery(&cfg)
+			if tc.repartition {
+				net := testRoad(t)
+				specs, want := hotspotSpecs(t, net, 160)
+				g = net.G
+				run = func(eng *Engine) { runRepartitionWorkload(t, eng, specs, want) }
+				probe = [2]graph.VertexID{specs[0].Source, specs[0].Target}
+				// TestAdaptiveRepartitioningCorrect's settings: Q-cut
+				// triggers almost always.
+				cfg.Adapt = true
+				cfg.Phi = 0.99
+				cfg.CheckEvery = 5 * time.Millisecond
+				cfg.Cooldown = 10 * time.Millisecond
+				cfg.QcutBudget = 30 * time.Millisecond
+				cfg.MinWindowQueries = 4
+				cfg.Mu = time.Minute
+			}
+			cfg.Graph = g
 			eng, err := Start(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -173,14 +210,15 @@ func TestRecoveryFaultMatrix(t *testing.T) {
 
 			var mch <-chan controller.MutationResult
 			if tc.mutate {
-				// The commit barrier is what walks worker 1 into the armed
-				// point; stage it before the queries so it seals promptly.
+				// The commit's broadcast is what walks worker 1 into the
+				// delta points; stage it before the queries so it seals
+				// promptly.
 				if mch, err = eng.Mutate(distanceNeutralOps()); err != nil {
 					t.Fatal(err)
 				}
 			}
 
-			runRecoveryWorkload(t, eng, g, 1)
+			run(eng)
 
 			select {
 			case <-fired:
@@ -190,13 +228,13 @@ func TestRecoveryFaultMatrix(t *testing.T) {
 			if tc.mutate {
 				select {
 				case res := <-mch:
-					// Deterministic commit outcome: the batch commits after
-					// recovery (abort + retry), never hangs, never errors.
+					// Deterministic commit outcome: the batch commits once,
+					// never hangs, never errors.
 					if res.Err != nil {
-						t.Fatalf("commit after recovery: %v", res.Err)
+						t.Fatalf("commit across recovery: %v", res.Err)
 					}
 					if res.Version != 1 {
-						t.Fatalf("retried commit landed at version %d, want 1", res.Version)
+						t.Fatalf("commit landed at version %d, want 1", res.Version)
 					}
 				case <-time.After(10 * time.Second):
 					t.Fatal("mutation caught in worker death never resolved")
@@ -204,6 +242,20 @@ func TestRecoveryFaultMatrix(t *testing.T) {
 			}
 
 			awaitRecovered(t, eng, 1)
+			if tc.mutate {
+				// Every live worker reaches the committed version: the dead
+				// worker's frozen ack must not count, and no further commit
+				// comes along to refresh the minimum. The poll only absorbs
+				// DeltaAcks still in flight.
+				deadline := time.Now().Add(5 * time.Second)
+				for eng.MVCCStats().MaxWorkerLag != 0 && time.Now().Before(deadline) {
+					time.Sleep(2 * time.Millisecond)
+				}
+				if st := eng.MVCCStats(); st.MaxWorkerLag != 0 {
+					t.Fatalf("max worker lag %d at graph version %d after recovery, want 0",
+						st.MaxWorkerLag, eng.GraphVersion())
+				}
+			}
 			h := eng.Health()
 			if len(h.DeadWorkers) != 1 || h.DeadWorkers[0] != 1 {
 				t.Fatalf("health after handoff = %+v, want lost worker 1", h)
@@ -214,8 +266,9 @@ func TestRecoveryFaultMatrix(t *testing.T) {
 			}
 
 			// The engine keeps serving after the episode.
-			if d := sssp(t, eng, 500, 0, 47); d != graph.DijkstraTo(g, 0, 47) {
-				t.Fatalf("post-recovery distance %g", d)
+			d, want := sssp(t, eng, 1<<20, probe[0], probe[1]), graph.DijkstraTo(g, probe[0], probe[1])
+			if math.Abs(d-want) > 1e-6*math.Max(1, want) {
+				t.Fatalf("post-recovery distance %g, want %g", d, want)
 			}
 			if err := eng.Close(); err != nil {
 				t.Fatalf("engine close: %v", err)

@@ -172,8 +172,8 @@ func TestWALTornTailRestart(t *testing.T) {
 }
 
 // TestSnapshotCutRunsOffTheBarrier: while the background cutter is
-// blocked mid-cut, commit barriers keep completing — the O(V+E) fold no
-// longer sits inside the commit path.
+// blocked mid-cut, commits keep completing — the O(V+E) fold never sits
+// inside the commit path.
 func TestSnapshotCutRunsOffTheBarrier(t *testing.T) {
 	defer faultpoint.Reset()
 	g := pathGraph(10)

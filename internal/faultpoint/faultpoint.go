@@ -52,7 +52,7 @@ const (
 	// on disk, so the truncation floor must not advance.
 	SnapshotPersist = "snapshot/persist"
 	// WALAppend fires after a committed batch was durably appended
-	// (fsynced) to the write-ahead log but before the commit barrier
+	// (fsynced) to the write-ahead log but before the commit
 	// acknowledged it to the mutation's caller — the at-least-once edge:
 	// a restart must recover the batch even though nobody was told it
 	// committed.

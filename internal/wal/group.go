@@ -12,10 +12,9 @@ import (
 // can fsync, so a committer goroutine drains everything queued since the
 // last sync, writes all the records, and pays ONE fsync for the lot. Each
 // batch is acked individually with its own version once the shared sync
-// returns — durability semantics are exactly Append's (fsync before ack),
-// only the cost is amortized. The on-disk format is unchanged: one record
-// per version, so readers (recovery, replica tailers) never know whether
-// a record was synced alone or in a group.
+// returns: fsync before ack, with the cost amortized. The on-disk format
+// is one record per version, so readers (recovery, replica tailers) never
+// know whether a record was synced alone or in a group.
 
 // ErrClosed is returned on the ack channel for batches still queued when
 // the WAL closes.
@@ -51,12 +50,8 @@ const maxGroup = 128
 
 // Enqueue hands one batch to the group committer; the result arrives on
 // ack (which must have capacity, or the committer would stall). Versions
-// must be enqueued contiguously from Head by a single producer — the same
-// contract as Append, checked the same way. Acks are delivered in version
-// order.
-//
-// Enqueue and Append must not be interleaved for overlapping versions;
-// the controller uses exactly one of the two paths.
+// must be enqueued contiguously from Head by a single producer. Acks are
+// delivered in version order.
 func (w *WAL) Enqueue(v uint64, ops []delta.Op, ack chan<- AppendAck) {
 	// The send happens under gcMu so it cannot race Close: either the flag
 	// is already set (fail fast), or the request lands in the queue before

@@ -1,7 +1,7 @@
 // Package wal implements the durable write-ahead op log of the streaming
 // update data plane: every committed mutation batch is appended — length
-// prefixed, checksummed, fsynced — before the commit barrier acknowledges
-// the mutation to its caller. A full process restart then recovers to the
+// prefixed, checksummed, fsynced — before the commit acknowledges the
+// mutation to its caller. A full process restart then recovers to the
 // exact pre-crash committed version by loading the newest checkpoint
 // (internal/snapshot) and replaying the WAL tail beyond it, instead of
 // losing every op committed after the last checkpoint.
@@ -97,14 +97,14 @@ type segInfo struct {
 	size int64
 }
 
-// WAL is an open write-ahead log. Append/TruncateTo/Rebase are owned by
+// WAL is an open write-ahead log. Enqueue/TruncateTo/Rebase are owned by
 // one writer (the controller); Stats is safe from any goroutine.
 type WAL struct {
 	dir     string
 	graphID uint64
 
 	// SegmentBytes is the rotation threshold; set it before the first
-	// Append to override DefaultSegmentBytes (tests use tiny segments).
+	// append to override DefaultSegmentBytes (tests use tiny segments).
 	SegmentBytes int64
 
 	mu       sync.Mutex
@@ -252,55 +252,14 @@ func (w *WAL) Stats() Stats {
 	return st
 }
 
-// Append durably logs the ops committed as version v: write, fsync, then
-// return. Versions must be appended contiguously from Head. On a write or
-// sync error the partial record is truncated away so the segment stays
-// parseable, and the error is returned — the caller must not acknowledge
-// the batch.
+// Append durably logs the ops committed as version v through the group
+// committer and waits for the fsync. Versions must be appended
+// contiguously from Head; on error the caller must not acknowledge the
+// batch.
 func (w *WAL) Append(v uint64, ops []delta.Op) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if want := w.head + 1; v != want {
-		return fmt.Errorf("wal: append version %d, want %d", v, want)
-	}
-	head := &w.segs[len(w.segs)-1]
-	if head.size >= w.segmentLimit() && head.last > head.prev {
-		// Rotate before the write so a rotation failure just keeps
-		// appending to the old segment (the record is never at risk).
-		if err := w.rotate(); err == nil {
-			head = &w.segs[len(w.segs)-1]
-		} else {
-			w.appendErrors.Add(1)
-		}
-	}
-	rec := encodeRecord(v, ops)
-	fail := func(err error) error {
-		w.appendErrors.Add(1)
-		// Cut the segment back to its last good record so a later append
-		// (or the next Open) never sees a half-written record followed by
-		// a whole one.
-		_ = w.f.Truncate(head.size)
-		return fmt.Errorf("wal: append version %d: %w", v, err)
-	}
-	if _, err := w.f.Write(rec); err != nil {
-		return fail(err)
-	}
-	t0 := time.Now()
-	if err := w.f.Sync(); err != nil {
-		return fail(err)
-	}
-	d := time.Since(t0)
-	w.lastFsync.Store(int64(d))
-	w.totalFsync.Add(int64(d))
-	w.fsyncs.Add(1)
-	w.lastGroupSize.Store(1)
-	head.size += int64(len(rec))
-	head.last = v
-	w.head = v
-	w.appends.Add(1)
-	w.appendedBytes.Add(int64(len(rec)))
-	w.publishMirrors()
-	return nil
+	ack := make(chan AppendAck, 1)
+	w.Enqueue(v, ops, ack)
+	return (<-ack).Err
 }
 
 func (w *WAL) segmentLimit() int64 {

@@ -357,3 +357,33 @@ func TestPartitionGrantFallbackToNewerSnapshot(t *testing.T) {
 		t.Fatal("disconnected grant tail accepted (silent divergence)")
 	}
 }
+
+// TestDeltaBatchVersionsApplyOnce: every version reaches a worker exactly
+// once, and a commit is applied on the controller before it is broadcast,
+// so a redelivered batch and a RecoverStart below the worker's version
+// are both replica divergence — errors, never a silent re-ack or undo.
+func TestDeltaBatchVersionsApplyOnce(t *testing.T) {
+	g := lineGraph()
+	owner := make(partition.Assignment, g.NumVertices())
+	net := transport.NewChanNetwork(2, transport.Latency{})
+	defer net.Close()
+	wk, err := New(Config{ID: 0, K: 1, Graph: g, Owner: owner}, net.Conn(protocol.WorkerNode(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := &protocol.DeltaBatch{
+		Version: 1, Ops: []delta.Op{{Kind: delta.OpAddEdge, From: 0, To: 4, Weight: 1}},
+	}
+	if err := wk.onDeltaBatch(batch); err != nil {
+		t.Fatalf("first delivery: %v", err)
+	}
+	if err := wk.onDeltaBatch(batch); err == nil {
+		t.Fatal("duplicate delivery of version 1 accepted")
+	}
+	if v := wk.View().Version(); v != 1 {
+		t.Fatalf("worker at version %d after duplicate, want 1", v)
+	}
+	if err := wk.onRecoverStart(&protocol.RecoverStart{Gen: 1, Version: 0, Owner: owner}); err == nil {
+		t.Fatal("RecoverStart below the worker's version accepted")
+	}
+}

@@ -698,8 +698,9 @@ echo "SMOKE OK: trace $tid7 stitched across router+replica, /fleet/metrics spans
 # commits (-commit-every 1ms -max-batch-ops 5: every POST seals its own
 # version on arrival). (a) Sustained mutate load under a PageRank-only
 # read mix: zero failed/stalled readers while hundreds of versions
-# commit, and a long PageRank probed mid-stream answers from its pinned
-# version while the committed version moves past it. (b) The version
+# commit, a long PageRank probed mid-stream answers from its pinned
+# version while the committed version moves past it, and once the load
+# stops every worker has caught up (max_worker_lag 0). (b) The version
 # chain is strictly monotone and the /mutate response header matches the
 # body (read-your-writes). (c) kill -9 the whole deployment while six
 # concurrent writers keep the group committer busy: the restart must
@@ -777,7 +778,7 @@ ver8b=$(curl -fsS "http://$SERVE8/healthz" | sed -n 's/.*"graph_version":\([0-9]
 
 sleep 1
 stats8=$(curl -fsS "http://$SERVE8/stats")
-grep -q '"pipelined":true' <<<"$stats8" || { echo "SMOKE FAIL: engine not on the pipelined commit path"; fail=1; }
+grep -q '"max_worker_lag":0' <<<"$stats8" || { echo "SMOKE FAIL: a worker trails the committed version after quiescence"; fail=1; }
 grep -q '"pinned_readers":0' <<<"$stats8" || { echo "SMOKE FAIL: reader pins leaked after quiescence"; fail=1; }
 peak8=$(sed -n 's/.*"peak_live_versions":\([0-9]*\).*/\1/p' <<<"$stats8")
 [ "${peak8:-0}" -ge 2 ] || { echo "SMOKE FAIL: peak live versions $peak8 — no MVCC overlap ever happened"; fail=1; }
