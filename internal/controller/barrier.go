@@ -163,14 +163,10 @@ func (c *Controller) release(ctl *qctl, step int32, involved map[partition.Worke
 // onSynch records a worker's barrier report and, once all involved workers
 // reported, collects the superstep.
 func (c *Controller) onSynch(m *protocol.BarrierSynch) error {
-	// Merge piggybacked intersection statistics into the global view
-	// regardless of query liveness.
+	// Merge piggybacked intersection statistics into the global view,
+	// also for a query that just finished.
 	for _, is := range m.Intersections {
-		q1, q2 := is.Q1, is.Q2
-		if q1 > q2 {
-			q1, q2 = q2, q1
-		}
-		c.inter[interKey{w: m.W, q1: q1, q2: q2}] = int64(is.Shared)
+		c.setInter(m.W, is.Q1, is.Q2, int64(is.Shared))
 	}
 	if m.Finished {
 		// Final statistics after QueryFinish: refresh the window entry.
@@ -351,20 +347,72 @@ func (c *Controller) windowAdd(ctl *qctl, now time.Time) {
 }
 
 // pruneWindow drops entries older than μ and enforces the query cap.
+// Entries are in finish order, so both rules drop a prefix. A finished
+// query is never live again, so leaving the window drops its intersection
+// pairs too.
 func (c *Controller) pruneWindow(now time.Time) {
-	keep := c.window[:0]
-	for _, we := range c.window {
-		if now.Sub(we.at) <= c.cfg.Mu {
-			keep = append(keep, we)
+	n := 0
+	for n < len(c.window) &&
+		(len(c.window)-n > c.cfg.MaxWindowQueries || now.Sub(c.window[n].at) > c.cfg.Mu) {
+		q := c.window[n].q
+		delete(c.byQ, q)
+		c.dropInter(q)
+		n++
+	}
+	if n > 0 {
+		kept := copy(c.window, c.window[n:])
+		clear(c.window[kept:])
+		c.window = c.window[:kept]
+	}
+}
+
+// monitored reports whether q is live or in the monitoring window: the
+// queries Q-cut plans over, and the only ones whose pairs inter keeps.
+func (c *Controller) monitored(q query.ID) bool {
+	return c.queries[q] != nil || c.byQ[q] != nil
+}
+
+// setInter records worker w's estimate of |LS(q1) ∩ LS(q2)|. A pair whose
+// other query already left both the window and the live set is dropped:
+// nothing would ever delete it.
+func (c *Controller) setInter(w partition.WorkerID, q1, q2 query.ID, shared int64) {
+	if q1 == q2 || !c.monitored(q1) || !c.monitored(q2) {
+		return
+	}
+	if q1 > q2 {
+		q1, q2 = q2, q1
+	}
+	if _, ok := c.partners[q1][q2]; !ok {
+		c.partnersOf(q1)[q2] = struct{}{}
+		c.partnersOf(q2)[q1] = struct{}{}
+		c.interPairs.Add(1)
+	}
+	c.inter[interKey{w: w, q1: q1, q2: q2}] = shared
+}
+
+func (c *Controller) partnersOf(q query.ID) map[query.ID]struct{} {
+	p := c.partners[q]
+	if p == nil {
+		p = make(map[query.ID]struct{})
+		c.partners[q] = p
+	}
+	return p
+}
+
+// dropInter forgets every intersection pair of q, which left both the
+// window and the live set.
+func (c *Controller) dropInter(q query.ID) {
+	for q2 := range c.partners[q] {
+		lo, hi := min(q, q2), max(q, q2)
+		for w := 0; w < c.cfg.K; w++ {
+			delete(c.inter, interKey{w: partition.WorkerID(w), q1: lo, q2: hi})
+		}
+		if p := c.partners[q2]; len(p) == 1 {
+			delete(c.partners, q2)
 		} else {
-			delete(c.byQ, we.q)
+			delete(p, q)
 		}
+		c.interPairs.Add(-1)
 	}
-	if over := len(keep) - c.cfg.MaxWindowQueries; over > 0 {
-		for _, we := range keep[:over] {
-			delete(c.byQ, we.q)
-		}
-		keep = keep[over:]
-	}
-	c.window = keep
+	delete(c.partners, q)
 }

@@ -75,7 +75,9 @@ type Config struct {
 	// Mu is the monitoring window μ: how long finished-query statistics
 	// stay in the global view (paper: 240 s).
 	Mu time.Duration
-	// MaxWindowQueries caps the queries Q-cut sees (paper: 128).
+	// MaxWindowQueries caps the finished queries Q-cut sees (paper: 128).
+	// Workers remember finished scopes for the same window, so both
+	// settings must match worker.Config's.
 	MaxWindowQueries int
 	// MinWindowQueries is the minimum finished queries before the trigger
 	// fires (avoids repartitioning on no evidence).
@@ -183,10 +185,10 @@ func (c *Config) fill() error {
 		c.Phi = 0.7
 	}
 	if c.Mu <= 0 {
-		c.Mu = 240 * time.Second
+		c.Mu = protocol.DefaultMu
 	}
 	if c.MaxWindowQueries <= 0 {
-		c.MaxWindowQueries = 128
+		c.MaxWindowQueries = protocol.DefaultMaxWindowQueries
 	}
 	if c.MinWindowQueries <= 0 {
 		c.MinWindowQueries = 8
@@ -347,7 +349,15 @@ type Controller struct {
 	queries map[query.ID]*qctl
 	window  []*windowEntry
 	byQ     map[query.ID]*windowEntry
-	inter   map[interKey]int64
+	// inter holds each worker's intersection estimate Iw(q1, q2) for
+	// query pairs that are both live or windowed. partners lists every
+	// query's pairs, so a query leaving the window and the live set drops
+	// them in O(its pairs); interPairs counts the pairs for concurrent
+	// readers. Neither map holds a pointer per pair, which keeps the
+	// plane out of the garbage collector's mark work.
+	inter      map[interKey]int64
+	partners   map[query.ID]map[query.ID]struct{}
+	interPairs atomic.Int64
 
 	phase phase
 	// phaseStart is when the current barrier phase was entered; enterPhase
@@ -490,6 +500,7 @@ type checkpointReq struct {
 	ch chan snapshot.Result
 }
 
+// interKey names worker w's estimate for the pair q1 < q2.
 type interKey struct {
 	w      partition.WorkerID
 	q1, q2 query.ID
@@ -516,6 +527,7 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 		queries:      make(map[query.ID]*qctl),
 		byQ:          make(map[query.ID]*windowEntry),
 		inter:        make(map[interKey]int64),
+		partners:     make(map[query.ID]map[query.ID]struct{}),
 		view:         delta.NewViewAt(cfg.Graph, cfg.BaseVersion),
 		sealedHead:   cfg.BaseVersion,
 		walAckCh:     make(chan wal.AppendAck, 2*maxSealedInFlight),
@@ -713,6 +725,11 @@ func (c *Controller) MVCCStats() MVCCStats {
 	return st
 }
 
+// IntersectionPairs returns how many query pairs the controller retains
+// intersection estimates for (the qgraph_qcut_intersections gauge). Safe
+// to call concurrently with Run.
+func (c *Controller) IntersectionPairs() int64 { return c.interPairs.Load() }
+
 // QcutSnapshot returns the controller's current high-level view as a Q-cut
 // input (Fig. 6g and debugging).
 func (c *Controller) QcutSnapshot() (qcut.Input, error) {
@@ -827,6 +844,7 @@ func (c *Controller) failActive() {
 		}
 		c.views.Unpin(ctl.spec.PinVersion)
 		delete(c.queries, q)
+		c.dropInter(q)
 	}
 	for _, req := range c.deferred {
 		req.ch <- Result{Q: req.spec.ID, Value: query.NoResult, Reason: protocol.FinishCancelled}

@@ -353,3 +353,68 @@ func TestCheckpointPrivateStoreNeverTruncates(t *testing.T) {
 		t.Fatalf("shared-store cut = %+v (base %d), want one op truncated", res, shared.deltaLog.Base())
 	}
 }
+
+// TestInterPairsFollowWindow: the controller keeps a pair's intersection
+// estimate only while both queries are live or windowed — pairs leave with
+// a window eviction, and reports pairing a query that is already gone (or
+// was never scheduled) are dropped.
+func TestInterPairsFollowWindow(t *testing.T) {
+	h := newCtlHarness(t, 2, func(c *Config) { c.MaxWindowQueries = 2 })
+	stat := func(q1, q2 query.ID) protocol.IntersectionStat {
+		return protocol.IntersectionStat{Q1: q1, Q2: q2, Shared: 3}
+	}
+	run := func(q query.ID, inter ...protocol.IntersectionStat) {
+		t.Helper()
+		ch, err := h.ctrl.Schedule(query.Spec{ID: q, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.expect(0)
+		h.expect(1)
+		if _, ok := h.expect(0).(*protocol.BarrierReady); !ok {
+			t.Fatalf("query %d: worker 0 missing its release", q)
+		}
+		h.workerSend(0, synch(q, 0, 0, func(s *protocol.BarrierSynch) {
+			s.SentBatches = make([]int32, 2)
+			s.ScopeSize, s.Processed = 1, 1
+			s.Intersections = inter
+		}))
+		<-ch
+		h.expect(0)
+		h.expect(1)
+	}
+	pairs := func(want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); h.ctrl.IntersectionPairs() != want; {
+			if time.Now().After(deadline) {
+				t.Fatalf("controller retains %d intersection pairs, want %d", h.ctrl.IntersectionPairs(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	run(1)
+	run(2, stat(2, 1), stat(2, 99)) // 99 was never scheduled
+	pairs(1)
+	// Query 3 pairs with both windowed queries; its finish evicts query 1
+	// and with it (1,2) and (1,3).
+	run(3, stat(3, 2), stat(3, 1))
+	pairs(1)
+	// A late final report pairing the evicted query changes nothing; query
+	// 4's finish then evicts query 2. Both reports share worker 0's link,
+	// so the late one is handled before query 4 finishes.
+	h.workerSend(0, synch(3, 0, 0, func(s *protocol.BarrierSynch) {
+		s.Finished = true
+		s.Intersections = []protocol.IntersectionStat{stat(3, 1)}
+	}))
+	run(4, stat(4, 3))
+	pairs(1)
+	snap, err := h.ctrl.QcutSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Intersections) != 1 || snap.Intersections[0].Q1 != 3 || snap.Intersections[0].Q2 != 4 ||
+		snap.Intersections[0].Shared != 3 {
+		t.Fatalf("snapshot intersections %+v, want only (3,4) = 3", snap.Intersections)
+	}
+}

@@ -118,6 +118,8 @@ func newCtlObs(c *Controller) *ctlObs {
 		func() float64 { return float64(c.graphVersion.Load()) })
 	m.GaugeFunc("qgraph_repartition_epoch", "", "executed repartitioning barriers",
 		func() float64 { return float64(c.repartEpoch.Load()) })
+	m.GaugeFunc("qgraph_qcut_intersections", "", "query pairs the controller retains intersection estimates for (live and windowed queries)",
+		func() float64 { return float64(c.interPairs.Load()) })
 	m.CounterFunc("qgraph_recovery_episodes_total", "", "completed worker-failure recovery episodes",
 		func() float64 { return float64(c.recCtr.Snapshot().Recoveries) })
 	m.GaugeFunc("qgraph_delta_log_ops", "", "committed ops retained in the delta log since the durable checkpoint",

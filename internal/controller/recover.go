@@ -323,6 +323,7 @@ func (c *Controller) enterTerminal() {
 		}
 		c.views.Unpin(ctl.spec.PinVersion)
 		delete(c.queries, q)
+		c.dropInter(q)
 	}
 	for _, req := range c.deferred {
 		req.ch <- Result{Q: req.spec.ID, Value: query.NoResult, Reason: protocol.FinishWorkerLost}

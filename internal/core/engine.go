@@ -352,11 +352,14 @@ func (e *Engine) workerConfig(w partition.WorkerID, rejoin bool) worker.Config {
 		BatchMaxMsgs:  e.cfg.BatchMaxMsgs,
 		BatchMaxBytes: e.cfg.BatchMaxBytes,
 		StatsEvery:    e.cfg.StatsEvery,
-		ScopeTTL:      e.cfg.Mu,
-		ComputeCost:   e.cfg.ComputeCost,
-		Rejoin:        rejoin,
-		BaseVersion:   e.cfg.BaseVersion,
-		Snapshots:     e.snaps,
+		// The controller gets the same two values: both sides hold the
+		// same monitoring window.
+		Mu:               e.cfg.Mu,
+		MaxWindowQueries: e.cfg.MaxWindowQueries,
+		ComputeCost:      e.cfg.ComputeCost,
+		Rejoin:           rejoin,
+		BaseVersion:      e.cfg.BaseVersion,
+		Snapshots:        e.snaps,
 	}
 	if o := e.cfg.Obs; o != nil {
 		c.Logger = o.Log().With("role", "worker")

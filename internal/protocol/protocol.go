@@ -8,6 +8,8 @@
 package protocol
 
 import (
+	"time"
+
 	"qgraph/internal/delta"
 	"qgraph/internal/graph"
 	"qgraph/internal/partition"
@@ -214,6 +216,16 @@ func (*Shutdown) Type() MsgType { return TShutdown }
 
 // ---------------------------------------------------------------------------
 // Worker → controller
+
+// Monitoring-window defaults (Sec. 3.4; paper: μ = 240 s, at most 128
+// queries). The window is part of the controller–worker contract: the
+// controller plans Q-cut from the finished queries it holds, and every
+// worker remembers finished scopes for exactly the same window, so both
+// sides resolve a zero setting to these values.
+const (
+	DefaultMu               = 240 * time.Second
+	DefaultMaxWindowQueries = 128
+)
 
 // IntersectionStat reports |LS(Q1,w) ∩ LS(Q2,w)|: the paper's intersection
 // function Iw restricted to query pairs, which is what Q-cut's clustering

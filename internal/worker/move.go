@@ -2,11 +2,9 @@ package worker
 
 import (
 	"fmt"
-	"time"
 
 	"qgraph/internal/graph"
 	"qgraph/internal/protocol"
-	"qgraph/internal/query"
 )
 
 // This file implements the worker side of the controller's move requests
@@ -42,7 +40,7 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 		}
 	}
 	if fs, ok := w.done[m.Q]; ok {
-		for v := range fs.verts {
+		for v := range fs.data {
 			if w.owner[v] == w.id && !w.arrived[v] {
 				verts[v] = true
 			}
@@ -61,19 +59,13 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 		}
 		return mv
 	}
-	stripSig := func(sig map[int32]int32, v graph.VertexID) {
-		blk := int32(v) >> sigShift
-		if sig[blk]--; sig[blk] <= 0 {
-			delete(sig, blk)
-		}
-	}
 	for q2, qs2 := range w.queries {
 		if len(qs2.data) <= len(verts) {
 			for v, val := range qs2.data {
 				if verts[v] {
 					entry(v).Values = append(entry(v).Values, protocol.QueryValue{Q: q2, Val: val})
 					delete(qs2.data, v)
-					stripSig(qs2.sig, v)
+					w.index.remove(q2, qs2.sig, v)
 				}
 			}
 		} else {
@@ -81,7 +73,7 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 				if val, ok := qs2.data[v]; ok {
 					entry(v).Values = append(entry(v).Values, protocol.QueryValue{Q: q2, Val: val})
 					delete(qs2.data, v)
-					stripSig(qs2.sig, v)
+					w.index.remove(q2, qs2.sig, v)
 				}
 			}
 		}
@@ -95,20 +87,20 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 		}
 	}
 	for q2, fs2 := range w.done {
-		if len(fs2.verts) <= len(verts) {
-			for v := range fs2.verts {
+		if len(fs2.data) <= len(verts) {
+			for v := range fs2.data {
 				if verts[v] {
 					entry(v).Finished = append(entry(v).Finished, q2)
-					delete(fs2.verts, v)
-					stripSig(fs2.sig, v)
+					delete(fs2.data, v)
+					w.index.remove(q2, fs2.sig, v)
 				}
 			}
 		} else {
 			for v := range verts {
-				if fs2.verts[v] {
+				if _, ok := fs2.data[v]; ok {
 					entry(v).Finished = append(entry(v).Finished, q2)
-					delete(fs2.verts, v)
-					stripSig(fs2.sig, v)
+					delete(fs2.data, v)
+					w.index.remove(q2, fs2.sig, v)
 				}
 			}
 		}
@@ -151,7 +143,6 @@ func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 		return fmt.Errorf("scope data for query %d outside global barrier", m.Q)
 	}
 	w.scopeRecvTotals[m.From]++
-	now := w.cfg.Clock()
 	for _, mv := range m.Vertices {
 		w.owner[mv.V] = w.id
 		if w.arrived == nil {
@@ -161,14 +152,14 @@ func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 		for _, qv := range mv.Values {
 			if qs, ok := w.queries[qv.Q]; ok {
 				if _, had := qs.data[mv.V]; !had {
-					qs.sig[int32(mv.V)>>sigShift]++
+					w.index.add(qv.Q, qs.sig, mv.V)
 				}
 				qs.data[mv.V] = qv.Val
 			} else {
 				// The query finished while the move was decided; keep the
 				// vertex in its remembered scope so the hotspot stays
 				// movable.
-				w.rememberFinished(qv.Q, mv.V, now)
+				w.rememberFinished(qv.Q, mv.V)
 			}
 		}
 		for _, pm := range mv.Pending {
@@ -179,26 +170,9 @@ func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 			// controller only finishes a query when its result is final.
 		}
 		for _, fq := range mv.Finished {
-			w.rememberFinished(fq, mv.V, now)
+			w.rememberFinished(fq, mv.V)
 		}
 	}
 	w.checkDrain()
 	return nil
-}
-
-// rememberFinished records v as part of finished query q's scope.
-func (w *Worker) rememberFinished(q query.ID, v graph.VertexID, now time.Time) {
-	fs := w.done[q]
-	if fs == nil {
-		fs = &finishedScope{
-			verts: make(map[graph.VertexID]bool),
-			sig:   make(map[int32]int32),
-			at:    now,
-		}
-		w.done[q] = fs
-	}
-	if !fs.verts[v] {
-		fs.verts[v] = true
-		fs.sig[int32(v)>>sigShift]++
-	}
 }

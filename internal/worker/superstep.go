@@ -104,7 +104,7 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 			continue
 		}
 		if !hasOld {
-			qs.sig[int32(v)>>sigShift]++
+			w.index.add(qs.spec.ID, qs.sig, v)
 		}
 		qs.data[v] = newVal
 		if prog.Goal(g, spec, v, newVal) && newVal < qs.bestGoal {
@@ -183,7 +183,7 @@ func (w *Worker) sendSynch(q query.ID, qs *queryState, fromStep, step int32, res
 	qs.synchs++
 	var inter []protocol.IntersectionStat
 	if qs.synchs%w.cfg.StatsEvery == 0 {
-		inter = w.intersections(q, qs)
+		inter = w.index.overlaps(q, qs.sig)
 	}
 	minFrontier := res.minFrontier
 	// Older pending inboxes (from earlier remote activations) also bound

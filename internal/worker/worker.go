@@ -43,11 +43,19 @@ type Config struct {
 	BatchMaxMsgs  int
 	BatchMaxBytes int
 	// StatsEvery piggybacks intersection statistics on every n-th barrier
-	// message of a query (sizes are piggybacked on all of them).
+	// message of a query (sizes are piggybacked on all of them); finishing
+	// queries always report them. Intersections cover the live queries and
+	// the finished scopes of the monitoring window below.
 	StatsEvery int
-	// ScopeTTL is how long the vertex sets of finished queries are kept
-	// for move directives (the controller's monitoring window μ).
-	ScopeTTL time.Duration
+	// Mu and MaxWindowQueries are the controller's monitoring window
+	// (controller.Config): a finished query's vertex set is remembered —
+	// for move directives and intersection statistics — only while the
+	// controller's window still holds the query, i.e. until Mu has passed
+	// or MaxWindowQueries later queries have finished. They must match the
+	// controller's settings; zero selects the same defaults
+	// (protocol.DefaultMu, protocol.DefaultMaxWindowQueries).
+	Mu               time.Duration
+	MaxWindowQueries int
 	// ComputeCost simulates per-active-vertex work beyond the actual
 	// vertex function (heavier application logic, (de)serialization of
 	// vertex data). A worker saturates when hotspot load concentrates on
@@ -87,8 +95,11 @@ func (c *Config) fill() {
 	if c.StatsEvery <= 0 {
 		c.StatsEvery = 8
 	}
-	if c.ScopeTTL <= 0 {
-		c.ScopeTTL = 240 * time.Second
+	if c.Mu <= 0 {
+		c.Mu = protocol.DefaultMu
+	}
+	if c.MaxWindowQueries <= 0 {
+		c.MaxWindowQueries = protocol.DefaultMaxWindowQueries
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -114,10 +125,7 @@ type queryState struct {
 	// on this worker; its key set is LS(q, w).
 	data map[graph.VertexID]float64
 	// sig is a coarse signature of the scope: touched vertices per
-	// sigShift-sized id block. Intersection statistics are estimated from
-	// signatures instead of exact key-set walks, which keeps the Iw
-	// piggyback (Sec. 3.4) O(scope/2^sigShift) instead of O(scope) per
-	// query pair — the clustering that consumes them only needs affinity.
+	// sigShift-sized id block, mirrored in the worker's block index.
 	sig map[int32]int32
 	// inbox[s] holds combined messages to be consumed by superstep s.
 	inbox map[int32]map[graph.VertexID]float64
@@ -145,34 +153,6 @@ type queryState struct {
 	computeNS int64
 }
 
-// sigShift is the scope-signature block size exponent: vertices v and v'
-// share a block iff v>>sigShift == v'>>sigShift. Road-network vertex ids
-// are row-major, so a block is a spatially contiguous strip.
-const sigShift = 6
-
-// sigOverlap estimates |A ∩ B| from two signatures as Σ_block min(a, b).
-func sigOverlap(a, b map[int32]int32) int32 {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	var shared int32
-	for blk, ca := range a {
-		if cb, ok := b[blk]; ok {
-			shared += min(ca, cb)
-		}
-	}
-	return shared
-}
-
-// finishedScope remembers the vertex set of a completed query so later
-// move directives can still relocate its hotspot, plus its signature for
-// intersection estimates.
-type finishedScope struct {
-	verts map[graph.VertexID]bool
-	sig   map[int32]int32
-	at    time.Time
-}
-
 // Worker is the worker-layer event loop.
 type Worker struct {
 	cfg  Config
@@ -193,11 +173,19 @@ type Worker struct {
 
 	owner   partition.Assignment
 	queries map[query.ID]*queryState
-	done    map[query.ID]*finishedScope
-	// finished records every query id this worker has seen finish, so late
-	// batches can be distinguished from batches that raced ahead of the
-	// ExecuteQuery broadcast on another link.
-	finished map[query.ID]time.Time
+	// done holds the finished queries of this worker's copy of the
+	// monitoring window (monitor.go); window lists them in finish order.
+	// A query id in done also tells late batches apart from batches that
+	// raced ahead of the ExecuteQuery broadcast on another link.
+	done   map[query.ID]*finishedScope
+	window []*finishedScope
+	// index is the inverted block index over the signatures of every live
+	// query and every scope in done.
+	index blockIndex
+	// monScopes and monPostings mirror the monitoring plane's size for
+	// concurrent readers (MonitorStats).
+	monScopes   atomic.Int64
+	monPostings atomic.Int64
 	// early buffers batches that arrived before their query's
 	// ExecuteQuery; they are replayed when it arrives.
 	early map[query.ID][]*protocol.VertexBatch
@@ -271,7 +259,7 @@ func New(cfg Config, conn transport.Conn) (*Worker, error) {
 		owner:           cfg.Owner.Clone(),
 		queries:         make(map[query.ID]*queryState),
 		done:            make(map[query.ID]*finishedScope),
-		finished:        make(map[query.ID]time.Time),
+		index:           newBlockIndex(),
 		early:           make(map[query.ID][]*protocol.VertexBatch),
 		sentTotals:      make([]uint64, cfg.K),
 		recvTotals:      make([]uint64, cfg.K),
@@ -407,8 +395,8 @@ func (w *Worker) handle(env transport.Envelope) (stop bool, err error) {
 // the controller's authoritative copy. The worker must already be at the
 // controller's version: every batch is committed on the controller before
 // it is broadcast, so anything else is replica divergence. Remembered
-// finished scopes survive: their vertex sets are still valid under the new
-// ownership and keep Q-cut's hotspot history useful.
+// finished scopes survive (resetForRecovery): their vertex sets are still
+// valid under the new ownership and keep Q-cut's hotspot history useful.
 func (w *Worker) onRecoverStart(m *protocol.RecoverStart) error {
 	if faultpoint.Hit(faultpoint.WorkerRecover, int(w.id)) {
 		return faultpoint.ErrKilled
@@ -502,12 +490,17 @@ func (w *Worker) onPartitionGrant(m *protocol.PartitionGrant) error {
 func (w *Worker) ReplayedOps() int64 { return w.replayedOps.Load() }
 
 // resetForRecovery clears every piece of in-flight state that references
-// the pre-recovery generation: live queries, early buffers, the ready
-// queue, pending drains, move bookkeeping, and all flow counters.
+// the pre-recovery generation: live queries (and their block-index
+// postings), early buffers, the ready queue, pending drains, move
+// bookkeeping, and all flow counters. Finished scopes stay.
 func (w *Worker) resetForRecovery(gen int32, owner []partition.WorkerID) {
 	w.gen = gen
 	w.owner = append(w.owner[:0], owner...)
+	for q, qs := range w.queries {
+		w.index.drop(q, qs.sig)
+	}
 	w.queries = make(map[query.ID]*queryState)
+	w.publishMonitor()
 	// Dropped queries release their snapshots; only the current version
 	// survives (restarted queries re-pin it when re-broadcast).
 	w.views.UnpinAll()
@@ -545,6 +538,9 @@ func (w *Worker) onExecute(m *protocol.ExecuteQuery) error {
 	if err != nil {
 		return fmt.Errorf("query %d: %w", m.Spec.ID, err)
 	}
+	// The controller admits an id again once it left its window; so does
+	// this worker's copy of the window, before the new scope is indexed.
+	w.forget(m.Spec.ID)
 	qs := &queryState{
 		spec:        m.Spec,
 		prog:        prog,
@@ -636,7 +632,7 @@ func (w *Worker) onVertexBatch(m *protocol.VertexBatch) error {
 	w.recvTotals[m.From]++
 	qs, ok := w.queries[m.Q]
 	if !ok {
-		if _, fin := w.finished[m.Q]; !fin {
+		if _, fin := w.done[m.Q]; !fin {
 			// The batch raced ahead of the ExecuteQuery broadcast on
 			// another link; hold it until the query is known.
 			w.early[m.Q] = append(w.early[m.Q], m)
@@ -749,78 +745,4 @@ func (w *Worker) checkDrain() {
 	}
 	w.pendingDrain = nil
 	w.conn.Send(protocol.ControllerNode, &protocol.DrainAck{Epoch: m.Epoch, W: w.id})
-}
-
-// onFinish drops a query's live state, keeping its vertex set for future
-// scope moves, and reports final statistics.
-func (w *Worker) onFinish(m *protocol.QueryFinish) error {
-	now := w.cfg.Clock()
-	w.finished[m.Q] = now
-	delete(w.early, m.Q)
-	qs, ok := w.queries[m.Q]
-	if !ok {
-		return nil
-	}
-	verts := make(map[graph.VertexID]bool, len(qs.data))
-	for v := range qs.data {
-		verts[v] = true
-	}
-	inter := w.intersections(m.Q, qs)
-	delete(w.queries, m.Q)
-	w.views.Unpin(qs.spec.PinVersion)
-	if len(verts) > 0 {
-		w.done[m.Q] = &finishedScope{verts: verts, sig: qs.sig, at: now}
-	}
-	w.pruneDone(now)
-	return w.conn.Send(protocol.ControllerNode, &protocol.BarrierSynch{
-		Q: m.Q, W: w.id,
-		ScopeSize:     int32(len(verts)),
-		BestGoal:      qs.bestGoal,
-		MinFrontier:   query.NoResult,
-		Intersections: inter,
-		Finished:      true,
-	})
-}
-
-// pruneDone expires finished scopes and finished-id markers beyond the
-// monitoring window.
-func (w *Worker) pruneDone(now time.Time) {
-	for q, fs := range w.done {
-		if now.Sub(fs.at) > w.cfg.ScopeTTL {
-			delete(w.done, q)
-		}
-	}
-	for q, at := range w.finished {
-		if now.Sub(at) > w.cfg.ScopeTTL {
-			delete(w.finished, q)
-		}
-	}
-}
-
-// intersections estimates |LS(q) ∩ LS(q2)| against every other query on
-// this worker — live ones and the remembered scopes of finished ones — the
-// worker-side transformation of low-level vertex knowledge into the
-// high-level intersection function Iw of Sec. 3.4. Including finished
-// scopes matters: queries of the same hotspot rarely overlap in time, and
-// it is exactly these temporal chains that let Q-cut's clustering move a
-// hotspot as one unit.
-func (w *Worker) intersections(q query.ID, qs *queryState) []protocol.IntersectionStat {
-	var out []protocol.IntersectionStat
-	for q2, qs2 := range w.queries {
-		if q2 == q {
-			continue
-		}
-		if shared := sigOverlap(qs.sig, qs2.sig); shared > 0 {
-			out = append(out, protocol.IntersectionStat{Q1: q, Q2: q2, Shared: shared})
-		}
-	}
-	for q2, fs := range w.done {
-		if q2 == q {
-			continue
-		}
-		if shared := sigOverlap(qs.sig, fs.sig); shared > 0 {
-			out = append(out, protocol.IntersectionStat{Q1: q, Q2: q2, Shared: shared})
-		}
-	}
-	return out
 }
